@@ -18,12 +18,16 @@ evicted within roughly the last ``capacity`` distinct block touches —
 a conflict miss.
 
 The generation tracker is on the simulator's per-access hot path, so it
-offers three access grades: the scalar protocol methods, vectorized
+offers several access grades: the scalar protocol methods, vectorized
 batch kernels (``on_access_batch`` / ``check_recent_eviction_batch``)
-over whole key columns, and :meth:`GenerationConflictTracker.series_ops`
-— per-key closures with the tracker's containers pre-bound, which the
-shared cache's batched access kernel threads through its tight
-LRU/replacement loop.
+over whole key columns, :meth:`GenerationConflictTracker.series_ops` —
+per-key closures with the tracker's containers pre-bound — and
+:meth:`GenerationConflictTracker.replay_check_batch`. The shared cache's
+fused access loop keeps bloom traffic out of the loop: it logs each
+series' eviction checks, victim inserts and flash-clears by position,
+and the replay resolves them afterwards in one sequential walk from the
+series-start bloom words — one hash pass per series, then plain
+word-and-bit tests, exactly the scalar order.
 """
 
 from __future__ import annotations
@@ -249,91 +253,83 @@ class GenerationConflictTracker:
         cand_pos,
         cand_keys,
         ins_pos,
+        ins_gen,
         ins_keys,
         clears,
         snapshot_words,
     ) -> np.ndarray:
-        """Resolve a series' deferred eviction checks, exactly.
+        """Resolve a series' deferred eviction checks and bloom inserts.
 
-        The cache's batch kernel defers all ``check_recent_eviction``
-        probes out of its access loop: it logs, per series position,
-        which keys were checked (``cand_*``), which victim keys were
-        inserted into which generation's bloom (``ins_*``, one list per
-        generation), and at which positions a generation advance
-        flash-cleared which bloom (``clears``). This method reconstructs
-        each check's answer *as of its position*: a probe bit counts as
-        set for the check at position ``i`` iff it was set in the
-        series-start ``snapshot_words`` or by an insert at position
-        ``j < i``, with no flash-clear of that bloom in between. Bits
-        only ever turn on between clears, so per (generation, segment
-        between clears) one first-set-position array over the filter's
-        bits answers every check in the segment vectorized.
+        The cache's batch kernel keeps all bloom traffic out of its
+        access loop: it logs, in position order, which keys were checked
+        (``cand_*``), which victim keys were inserted into which
+        generation's bloom (``ins_*``), and at which positions a
+        generation advance flash-cleared which bloom (``clears``, as
+        ``(position, generation)``). Each position carries at most one
+        of each. This method walks the logs once in position order from
+        the series-start ``snapshot_words``, doing at each position what
+        the scalar ``SharedCache.access`` order does: check the candidate
+        against every generation, OR in the victim insert, then apply the
+        flash-clear. It returns each check's verdict and leaves every
+        bloom as the scalar path would: final words written back in
+        place (hot loops hold the word lists) and the inserts made since
+        each generation's last clear added to ``insertions``.
 
-        Equivalent to interleaving scalar ``check_recent_eviction`` /
-        ``on_replacement`` / clears in series order; the hypothesis
-        suite pins that equivalence.
+        The caller's generation advances have already cleared the
+        blooms (and reset their ``insertions``) during the series; with
+        no checks and no inserts that is the final state already.
         """
-        m = len(cand_pos)
-        if m == 0:
+        if not cand_keys and not ins_keys:
             return np.zeros(0, dtype=bool)
-        n_bits = self._blooms[0].n_bits
-        n_hashes = self._blooms[0].n_hashes
-        pos = np.asarray(cand_pos, dtype=np.int64)
-        cand_idx = hash_indices_batch(cand_keys, n_bits, n_hashes)
-        verdict = np.zeros(m, dtype=bool)
-        u1, u6, u63 = np.uint64(1), np.uint64(6), np.uint64(63)
-        for g in range(self.generations):
-            g_clears = sorted(c for c, gg in clears if gg == g)
-            ipos_list = ins_pos[g]
-            if ipos_list:
-                ipos = np.asarray(ipos_list, dtype=np.int64)
-                iidx = hash_indices_batch(ins_keys[g], n_bits, n_hashes)
-            else:
-                ipos = np.zeros(0, dtype=np.int64)
-                iidx = np.zeros((0, n_hashes), dtype=np.uint64)
-            snap = np.asarray(snapshot_words[g], dtype=np.uint64)
-            # Segment s covers positions (bounds[s], bounds[s+1]]: a clear
-            # at position c happens after position c's check and insert,
-            # so both belong to the segment the clear terminates.
-            bounds = [-1] + g_clears + [n]
-            for s in range(len(bounds) - 1):
-                lo, hi = bounds[s], bounds[s + 1]
-                cmask = (pos > lo) & (pos <= hi)
-                if not cmask.any():
-                    continue
-                cidx = cand_idx[cmask]
-                # first[c, h] = earliest position whose insert set this
-                # probe's bit within the segment (-1: set at segment
-                # start, n: never). Segments after a clear start empty.
-                if s == 0:
-                    in_snap = (snap[cidx >> u6] >> (cidx & u63)) & u1
-                    first = np.where(
-                        in_snap.astype(bool), np.int64(-1), np.int64(n)
-                    )
+        blooms = self._blooms
+        n_cand = len(cand_keys)
+        # One hash pass over candidates then inserts; plain-int bit
+        # positions (word = i >> 6, bit = i & 63) are cheaper to unbox
+        # than per-probe (word, mask) pairs.
+        probes = hash_indices_batch(
+            cand_keys + ins_keys, blooms[0].n_bits, blooms[0].n_hashes
+        ).tolist()
+        words = [list(snap) for snap in snapshot_words]
+        added = [0] * self.generations
+        verdict: List[bool] = []
+        answer = verdict.append
+        # Sentinel-terminated position streams; each clear closes a
+        # segment, and within one the candidate goes first on a tie.
+        cpos = [*cand_pos, n]
+        ipos = [*ins_pos, n]
+        ci = ii = 0
+        for last, cleared in [*clears, (n - 1, None)]:
+            while True:
+                if cpos[ci] <= ipos[ii]:
+                    if cpos[ci] > last:
+                        break
+                    row = probes[ci]
+                    for gen_words in words:
+                        for i in row:
+                            if not gen_words[i >> 6] >> (i & 63) & 1:
+                                break
+                        else:
+                            answer(True)
+                            break
+                    else:
+                        answer(False)
+                    ci += 1
                 else:
-                    first = np.full(cidx.shape, n, dtype=np.int64)
-                imask = (ipos > lo) & (ipos <= hi)
-                if imask.any():
-                    # Min insert position per distinct bit, by (bit, pos)
-                    # lexsort + first-occurrence compaction, then mapped
-                    # onto the candidates' probe bits via searchsorted.
-                    fb = iidx[imask].ravel()
-                    fp = np.repeat(ipos[imask], n_hashes)
-                    order = np.lexsort((fp, fb))
-                    fb, fp = fb[order], fp[order]
-                    keep = np.empty(fb.size, dtype=bool)
-                    keep[0] = True
-                    keep[1:] = fb[1:] != fb[:-1]
-                    ubits, upos = fb[keep], fp[keep]
-                    loc = np.minimum(
-                        np.searchsorted(ubits, cidx), ubits.size - 1
-                    )
-                    hit = ubits[loc] == cidx
-                    first = np.minimum(
-                        first, np.where(hit, upos[loc], np.int64(n))
-                    )
-                verdict[cmask] |= first.max(axis=1) < pos[cmask]
-        return verdict
+                    if ipos[ii] > last:
+                        break
+                    g = ins_gen[ii]
+                    gen_words = words[g]
+                    for i in probes[n_cand + ii]:
+                        gen_words[i >> 6] |= 1 << (i & 63)
+                    added[g] += 1
+                    ii += 1
+            if cleared is not None:
+                words[cleared] = [0] * len(words[cleared])
+                added[cleared] = 0
+        for bloom, final, count in zip(blooms, words, added):
+            bloom._words[:] = final
+            bloom.insertions += count
+        return np.array(verdict, dtype=bool)
 
     def series_ops(
         self,

@@ -17,7 +17,11 @@ simulator's dominant cost, so by default they run through a vectorized
 kernel — block keys, latency jitter, per-access times, and conflict-event
 recording are computed in numpy over the whole series, and only the
 state-dependent LRU/replacement/tracker walk remains a (tight,
-locals-bound) Python loop. The per-access :meth:`SharedCache.access`
+locals-bound) Python loop. With the stock generation tracker that loop
+only logs its bloom traffic (eviction checks, victim inserts, flash-
+clears, by position); one sequential replay walk per series then
+answers the checks and applies the inserts exactly as the per-access
+order would. The per-access :meth:`SharedCache.access`
 adapter and ``SharedCache(vectorized=False)`` keep the legacy per-event
 path, which the parity suite proves bit-identical (events, latencies,
 counters, RNG/jitter stepping). When ``access`` has been monkey-patched
@@ -171,14 +175,14 @@ class SharedCache:
         Two ideas on top of the generic loop. First, the tracker's
         ``on_access`` transition (generation bits, membership, advance
         trigger) is inlined against its containers, eliminating a call
-        per key. Second, all bloom traffic leaves the loop: eviction
-        checks are read-only and inserts only set bits, so the loop
-        merely *logs* which key was checked / inserted / flash-cleared
-        at which position, and afterwards
-        :meth:`GenerationConflictTracker.replay_check_batch` resolves
-        every check as-of-its-position in one vectorized pass and
-        ``add_batch`` applies the inserts that survive the series'
-        clears. The observable outcome per access is exactly the scalar
+        per key. Second, all bloom traffic leaves the loop: it merely
+        *logs* which key was checked, which victim was inserted into
+        which generation, and which bloom was flash-cleared at which
+        position, and afterwards
+        :meth:`GenerationConflictTracker.replay_check_batch` walks those
+        logs once in position order to answer every check as of its
+        position and leave the blooms in their final state. The
+        observable outcome per access is exactly the scalar
         :meth:`access` order: hit → LRU touch, access-bit; miss →
         eviction check, replacement insert, fill, access-bit.
         """
@@ -188,15 +192,15 @@ class SharedCache:
         gen_bits = tracker._gen_bits
         gb_get = gen_bits.get
         members = tracker._members
-        blooms = tracker._blooms
         threshold = tracker.threshold
         generations = tracker.generations
         advance = tracker._advance_generation
-        # Bloom words at series start, for the deferred check replay
-        # (a handful of packed words per generation).
-        snapshot = [list(bloom._words) for bloom in blooms]
-        ins_pos: List[List[int]] = [[] for _ in range(generations)]
-        ins_keys: List[List[int]] = [[] for _ in range(generations)]
+        # Bloom words at series start, for the replay (advances clear
+        # the live words in place mid-series).
+        snapshot = [list(bloom._words) for bloom in tracker._blooms]
+        ins_pos: List[int] = []
+        ins_gen: List[int] = []
+        ins_keys: List[int] = []
         clears: List[Tuple[int, int]] = []
         cand_pos: List[int] = []
         cand_keys: List[int] = []
@@ -209,135 +213,56 @@ class SharedCache:
         count = tracker._accessed_in_current
         shift = _TAG_SHIFT
         n = len(sets_list)
-        # Two loop bodies with identical semantics: the hit-heavy one
-        # folds the membership test into ``move_to_end`` (two dict ops
-        # per hit, an exception per miss), the miss-heavy one tests
-        # membership up front (exceptions cost ~0.2us each, which an
-        # all-miss sweep would pay on every access). A residency sample
-        # of the series' first accesses — deterministic, it reads only
-        # cache state — picks the body; a mispredict is slower, never
-        # wrong. The bodies must stay textually in sync apart from that
-        # hit test (the parity suite exercises both).
-        sample = min(16, n)
-        resident = 0
-        for j in range(sample):
-            if tags_list[j] in sets_[sets_list[j]]:
-                resident += 1
-        if resident * 4 >= sample * 3:
-            for i, s, tag, key in zip(
-                range(n), sets_list, tags_list, keys_list
-            ):
-                cache_set = sets_[s]
-                try:
-                    cache_set.move_to_end(tag)
+        for i, s, tag, key in zip(range(n), sets_list, tags_list, keys_list):
+            cache_set = sets_[s]
+            if tag in cache_set:
+                cache_set.move_to_end(tag)
+                cache_set[tag] = ctx
+            else:
+                miss_append(i)
+                if len(cache_set) >= assoc:
+                    victim_tag, victim_owner = cache_set.popitem(False)
+                    vkey = (victim_tag << shift) | s
+                    # on_replacement: log the victim against its latest
+                    # generation (skip if its bits aged out).
+                    vmask = gb_get(vkey, 0)
+                    if vmask:
+                        for back in range(generations):
+                            g = (cur - back) % generations
+                            if vmask & (1 << g):
+                                break
+                        ins_pos.append(i)
+                        ins_gen.append(g)
+                        ins_keys.append(vkey)
+                        del gen_bits[vkey]
                     cache_set[tag] = ctx
-                except KeyError:
-                    miss_append(i)
-                    if len(cache_set) >= assoc:
-                        victim_tag, victim_owner = cache_set.popitem(False)
-                        vkey = (victim_tag << shift) | s
-                        # on_replacement: log the victim against its
-                        # latest generation (skip if its bits aged out).
-                        vmask = gb_get(vkey, 0)
-                        if vmask:
-                            for back in range(generations):
-                                g = (cur - back) % generations
-                                if vmask & (1 << g):
-                                    break
-                            ins_pos[g].append(i)
-                            ins_keys[g].append(vkey)
-                            del gen_bits[vkey]
-                        cache_set[tag] = ctx
-                        cand_pos.append(i)
-                        cand_keys.append(key)
-                        cand_vic.append(victim_owner)
-                    else:
-                        cache_set[tag] = ctx
-                # on_access: set the current generation's bit.
-                mask = gb_get(key, 0)
-                if mask & bit:
-                    continue
-                gen_bits[key] = mask | bit
-                member_add(key)
-                count += 1
-                if count >= threshold:
-                    tracker._accessed_in_current = count
-                    clears.append((i, (cur + 1) % generations))
-                    advance()
-                    cur = tracker._current
-                    bit = 1 << cur
-                    member_add = members[cur].add
-                    count = 0
-        else:
-            for i, s, tag, key in zip(
-                range(n), sets_list, tags_list, keys_list
-            ):
-                cache_set = sets_[s]
-                if tag in cache_set:
-                    cache_set.move_to_end(tag)
-                    cache_set[tag] = ctx
+                    cand_pos.append(i)
+                    cand_keys.append(key)
+                    cand_vic.append(victim_owner)
                 else:
-                    miss_append(i)
-                    if len(cache_set) >= assoc:
-                        victim_tag, victim_owner = cache_set.popitem(False)
-                        vkey = (victim_tag << shift) | s
-                        # on_replacement: log the victim against its
-                        # latest generation (skip if its bits aged out).
-                        vmask = gb_get(vkey, 0)
-                        if vmask:
-                            for back in range(generations):
-                                g = (cur - back) % generations
-                                if vmask & (1 << g):
-                                    break
-                            ins_pos[g].append(i)
-                            ins_keys[g].append(vkey)
-                            del gen_bits[vkey]
-                        cache_set[tag] = ctx
-                        cand_pos.append(i)
-                        cand_keys.append(key)
-                        cand_vic.append(victim_owner)
-                    else:
-                        cache_set[tag] = ctx
-                # on_access: set the current generation's bit.
-                mask = gb_get(key, 0)
-                if mask & bit:
-                    continue
-                gen_bits[key] = mask | bit
-                member_add(key)
-                count += 1
-                if count >= threshold:
-                    tracker._accessed_in_current = count
-                    clears.append((i, (cur + 1) % generations))
-                    advance()
-                    cur = tracker._current
-                    bit = 1 << cur
-                    member_add = members[cur].add
-                    count = 0
+                    cache_set[tag] = ctx
+            # on_access: set the current generation's bit.
+            mask = gb_get(key, 0)
+            if mask & bit:
+                continue
+            gen_bits[key] = mask | bit
+            member_add(key)
+            count += 1
+            if count >= threshold:
+                tracker._accessed_in_current = count
+                clears.append((i, (cur + 1) % generations))
+                advance()
+                cur = tracker._current
+                bit = 1 << cur
+                member_add = members[cur].add
+                count = 0
         tracker._accessed_in_current = count
         verdict = tracker.replay_check_batch(
-            len(sets_list), cand_pos, cand_keys, ins_pos, ins_keys,
-            clears, snapshot,
+            n, cand_pos, cand_keys, ins_pos, ins_gen, ins_keys, clears,
+            snapshot,
         )
         conf_pos = np.asarray(cand_pos, dtype=np.int64)[verdict]
         conf_vic = np.asarray(cand_vic, dtype=np.int64)[verdict]
-        # Apply the logged inserts: anything inserted at or before a
-        # generation's last flash-clear was wiped and never reaches the
-        # post-series filter state.
-        for g in range(generations):
-            g_ins_pos = ins_pos[g]
-            if not g_ins_pos:
-                continue
-            last_clear = -1
-            for c, gg in clears:
-                if gg == g:
-                    last_clear = c
-            keys_keep = ins_keys[g]
-            if last_clear >= 0:
-                keys_keep = [
-                    k for j, k in zip(g_ins_pos, keys_keep) if j > last_clear
-                ]
-            if keys_keep:
-                blooms[g].add_batch(keys_keep)
         return miss_pos, conf_pos, conf_vic
 
     def _run_keyed_accesses_generic(self, ctx, sets_list, tags_list, keys_list):

@@ -150,37 +150,53 @@ class TestTrackerBatchEquivalence:
         ]
 
 
-class TestReplayCheckBatch:
-    """The deferred-check replay ≡ interleaved scalar check/insert/clear."""
+ACCESS, REPLACE, CHECK = 0, 1, 2
 
-    @settings(max_examples=80, deadline=None)
-    @given(ops=OPS, capacity=st.integers(4, 48))
-    def test_replay_matches_interleaved_scalar(self, ops, capacity):
-        # Reference: scalar ops in series order against one tracker.
-        reference = GenerationConflictTracker(capacity)
-        # Replayed: identical advance schedule, but checks answered
-        # post-hoc from logs — mirroring the cache's fused kernel.
-        replayed = GenerationConflictTracker(capacity)
-        generations = replayed.generations
-        snapshot = [list(b._words) for b in replayed._blooms]
-        ins_pos = [[] for _ in range(generations)]
-        ins_keys = [[] for _ in range(generations)]
-        clears = []
-        cand_pos, cand_keys = [], []
-        scalar_answers = []
-        for i, (op, key) in enumerate(ops):
-            if op == 0:
+#: Series positions, each a list of scalar ops in ``access`` order: a
+#: lone op, or a miss — check the incoming key, replace a victim, then
+#: access the incoming key (which may advance a generation, so a check,
+#: an insert and a flash-clear can share one position).
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0, 2), st.integers(0, 40)).map(lambda op: [op]),
+        st.tuples(st.integers(0, 40), st.integers(0, 40)).map(
+            lambda kv: [(CHECK, kv[0]), (REPLACE, kv[1]), (ACCESS, kv[0])]
+        ),
+    ),
+    max_size=150,
+)
+
+
+def _replay_against_scalar(reference, replayed, steps):
+    """Drive ``steps`` through both trackers and diff the outcomes.
+
+    ``reference`` runs the scalar protocol in series order. ``replayed``
+    mirrors the cache's fused kernel: it keeps its generation bits in
+    step but defers all bloom traffic into logs that
+    :meth:`GenerationConflictTracker.replay_check_batch` resolves
+    afterwards. Verdicts, final bloom words, ``insertions`` and the rest
+    of the tracker state must all match. Returns the logs and verdicts.
+    """
+    snapshot = [list(b._words) for b in replayed._blooms]
+    log = {k: [] for k in (
+        "cand_pos", "cand_keys", "ins_pos", "ins_gen", "ins_keys", "clears",
+    )}
+    scalar_answers = []
+    for i, actions in enumerate(steps):
+        for op, key in actions:
+            if op == ACCESS:
                 before = reference.generation_advances
                 reference.on_access(key)
                 replayed.on_access(key)
                 if reference.generation_advances != before:
-                    clears.append((i, reference._current))
-            elif op == 1:
+                    log["clears"].append((i, reference._current))
+            elif op == REPLACE:
                 latest = reference.latest_generation_of(key)
                 reference.on_replacement(key)
                 if latest is not None:
-                    ins_pos[latest].append(i)
-                    ins_keys[latest].append(key)
+                    log["ins_pos"].append(i)
+                    log["ins_gen"].append(latest)
+                    log["ins_keys"].append(key)
                     # Keep the replayed tracker's generation bits in step
                     # without touching its blooms (the kernel defers them).
                     del replayed._gen_bits[key]
@@ -188,49 +204,70 @@ class TestReplayCheckBatch:
                     replayed._gen_bits.pop(key, None)
             else:
                 scalar_answers.append(reference.check_recent_eviction(key))
-                cand_pos.append(i)
-                cand_keys.append(key)
-        verdict = replayed.replay_check_batch(
-            len(ops), cand_pos, cand_keys, ins_pos, ins_keys, clears,
-            snapshot,
-        )
-        assert verdict.tolist() == scalar_answers
+                log["cand_pos"].append(i)
+                log["cand_keys"].append(key)
+    verdict = replayed.replay_check_batch(
+        len(steps), log["cand_pos"], log["cand_keys"], log["ins_pos"],
+        log["ins_gen"], log["ins_keys"], log["clears"], snapshot,
+    )
+    log["verdict"] = verdict.tolist()
+    assert log["verdict"] == scalar_answers
+    assert _tracker_state(replayed) == _tracker_state(reference)
+    assert [b.insertions for b in replayed._blooms] == [
+        b.insertions for b in reference._blooms
+    ]
+    return log
+
+
+class TestReplayCheckBatch:
+    """The deferred replay ≡ interleaved scalar check/insert/clear."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=STEPS, capacity=st.integers(4, 48))
+    def test_replay_matches_interleaved_scalar(self, steps, capacity):
+        reference, replayed = _fresh_pair(capacity)
+        _replay_against_scalar(reference, replayed, steps)
 
     @settings(max_examples=40, deadline=None)
-    @given(ops=OPS)
-    def test_replay_from_warm_snapshot(self, ops):
+    @given(steps=STEPS)
+    def test_replay_from_warm_snapshot(self, steps):
         # A non-empty snapshot: pre-populate the blooms, then replay.
-        reference = GenerationConflictTracker(32)
-        for key in range(0, 20, 2):
-            reference.on_access(key)
-            reference.on_replacement(key)
-        snapshot = [list(b._words) for b in reference._blooms]
-        generations = reference.generations
-        ins_pos = [[] for _ in range(generations)]
-        ins_keys = [[] for _ in range(generations)]
-        clears = []
-        cand_pos, cand_keys, scalar_answers = [], [], []
-        for i, (op, key) in enumerate(ops):
-            if op == 0:
-                before = reference.generation_advances
-                reference.on_access(key)
-                if reference.generation_advances != before:
-                    clears.append((i, reference._current))
-            elif op == 1:
-                latest = reference.latest_generation_of(key)
-                reference.on_replacement(key)
-                if latest is not None:
-                    ins_pos[latest].append(i)
-                    ins_keys[latest].append(key)
-            else:
-                scalar_answers.append(reference.check_recent_eviction(key))
-                cand_pos.append(i)
-                cand_keys.append(key)
-        verdict = reference.replay_check_batch(
-            len(ops), cand_pos, cand_keys, ins_pos, ins_keys, clears,
-            snapshot,
-        )
-        assert verdict.tolist() == scalar_answers
+        reference, replayed = _fresh_pair(32)
+        for tracker in (reference, replayed):
+            for key in range(0, 20, 2):
+                tracker.on_access(key)
+                tracker.on_replacement(key)
+        assert any(b.insertions for b in replayed._blooms)
+        _replay_against_scalar(reference, replayed, steps)
+
+    def test_two_clears_of_one_generation_and_insert_at_clear(self):
+        # Two generations, threshold 2, a bloom wide enough that these
+        # keys never collide. Every position is a miss: check the
+        # incoming key, replace a victim, access the incoming key.
+        def tracker():
+            return GenerationConflictTracker(
+                4, generations=2, bloom_bits_per_generation=256
+            )
+
+        steps = [
+            [(CHECK, key), (REPLACE, victim), (ACCESS, key)]
+            for key, victim in ((2, 2), (3, 1), (1, 2), (0, 3), (1, 1), (1, 1))
+        ]
+        reference, replayed = tracker(), tracker()
+        log = _replay_against_scalar(reference, replayed, steps)
+        # Generation 1 is flash-cleared twice (positions 1 and 5).
+        assert log["clears"] == [(1, 1), (3, 0), (5, 1)]
+        # Victim 3 enters bloom 0 at position 3, which the same
+        # position's clear of generation 0 then wipes.
+        assert list(zip(log["ins_pos"], log["ins_gen"], log["ins_keys"])) == [
+            (2, 0, 2), (3, 0, 3), (4, 1, 1), (5, 0, 1),
+        ]
+        # Position 5's check sees key 1 in bloom 1 before the clear.
+        assert log["verdict"] == [False] * 5 + [True]
+        assert [b.insertions for b in replayed._blooms] == [1, 0]
+        assert replayed._blooms[0].contains(1)
+        assert not replayed._blooms[0].contains(3)
+        assert not any(replayed._blooms[1]._words)
 
 
 class TestAdvanceGenerationMembers:
