@@ -20,9 +20,9 @@ about a duration.
 
 Span taxonomy (see docs/OBSERVABILITY.md): dotted lowercase names,
 ``component.operation`` — ``sim.quantum``, ``source.emit``,
-``analyzer.push``, ``session.verdicts``, ``session.sinks``,
-``replay.run``. Attributes are small scalars (unit names, quantum
-indices), never bulk data.
+``analyzer.push``, ``analyzer.recurrence``, ``session.verdicts``,
+``session.sinks``, ``replay.run``. Attributes are small scalars (unit
+names, quantum indices), never bulk data.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ pushes for one named unit and keeps only bounded incremental state:
   histogram accumulator (the modeled :class:`MonitorSlot` when driven by
   CC-auditor hardware, a :class:`StreamingDensityHistogram` otherwise)
   and keeps the last ``CLUSTERING_WINDOW_QUANTA`` per-quantum histograms
-  — exactly the horizon recurrence clustering looks at.
+  in a :class:`~repro.core.clustering.SymbolHorizon` — exactly the
+  horizon recurrence clustering looks at, with each window's symbol
+  string interned once at push time.
 - :class:`OscillationAnalyzer` folds each observation window's dominant
   pair train into per-pair running sums and a
   :class:`RunningAutocorrelogram`, so closing a window costs O(max_lag)
@@ -37,7 +39,7 @@ import numpy as np
 from repro.config import CLUSTERING_WINDOW_QUANTA, LIKELIHOOD_RATIO_THRESHOLD
 from repro.core.autocorr import RunningAutocorrelogram
 from repro.core.burst import BurstAnalysis, analyze_histogram
-from repro.core.clustering import analyze_recurrence
+from repro.core.clustering import SymbolHorizon, analyze_recurrence
 from repro.core.density import StreamingDensityHistogram
 from repro.core.oscillation import (
     DEFAULT_MIN_PEAK_HEIGHT,
@@ -51,7 +53,6 @@ from repro.obs.metrics import MetricsRegistry, get_default
 from repro.obs.tracing import trace_span
 from repro.pipeline.health import Health
 from repro.pipeline.source import QuantumObservation
-from repro.util.strings import discretize_histogram
 
 
 class Analyzer(Protocol):
@@ -147,7 +148,7 @@ class BurstAnalyzer(_HealthMixin):
     :class:`~repro.hardware.auditor.MonitorSlot` for hardware-faithful
     live sessions, or a :class:`StreamingDensityHistogram` for replay and
     raw feeds. Per-quantum work is O(n_windows + bins); history is the
-    bounded histogram deque recurrence clustering consumes.
+    bounded :class:`SymbolHorizon` recurrence clustering consumes.
     """
 
     method = "burst"
@@ -172,11 +173,7 @@ class BurstAnalyzer(_HealthMixin):
             if accumulator is not None
             else StreamingDensityHistogram(dt=dt, n_bins=n_bins)
         )
-        self.histograms: Deque[np.ndarray] = deque(maxlen=max_windows)
-        #: Discretized feature string per histogram (parallel deque):
-        #: computed once at push time, handed to recurrence clustering so
-        #: eager per-quantum verdicts never re-discretize the horizon.
-        self._features: Deque[np.ndarray] = deque(maxlen=max_windows)
+        self._horizon = SymbolHorizon(max_windows)
         self.analyses: Deque[BurstAnalysis] = deque(maxlen=max_windows)
         self.quanta_seen = 0
         m = metrics if metrics is not None else get_default()
@@ -227,8 +224,7 @@ class BurstAnalyzer(_HealthMixin):
             return
         self._acc.ingest_window_counts(counts)
         hist = self._acc.read_and_reset()
-        self.histograms.append(hist)
-        self._features.append(discretize_histogram(hist))
+        self._horizon.push(hist)
         analysis = analyze_histogram(hist, lr_threshold=self.lr_threshold)
         self.analyses.append(analysis)
         if self.evidence is not None:
@@ -274,10 +270,15 @@ class BurstAnalyzer(_HealthMixin):
             self._m_saturations.inc(saturations - self._seen_saturations)
             self._seen_saturations = saturations
 
+    @property
+    def histograms(self) -> np.ndarray:
+        """Retained per-quantum histograms, oldest first."""
+        return self._horizon.histograms
+
     def verdict(
         self, min_oscillating_windows: Optional[int] = None
     ) -> UnitVerdict:
-        if not self.histograms:
+        if not len(self._horizon):
             return UnitVerdict(
                 unit=self.unit,
                 method="burst",
@@ -287,11 +288,12 @@ class BurstAnalyzer(_HealthMixin):
                 else self._health_notes(),
                 health=self._health.value,
             )
-        recurrence = analyze_recurrence(
-            list(self.histograms),
-            lr_threshold=self.lr_threshold,
-            features=list(self._features),
-        )
+        with trace_span(
+            "analyzer.recurrence", unit=self.unit, quantum=self.quanta_seen - 1
+        ):
+            recurrence = analyze_recurrence(
+                self._horizon, lr_threshold=self.lr_threshold
+            )
         best_lr = max(
             (a.likelihood_ratio for a in recurrence.burst_analyses),
             default=0.0,
@@ -305,7 +307,7 @@ class BurstAnalyzer(_HealthMixin):
                 self.evidence.set_cluster(
                     self.quanta_seen - 1,
                     recurrence,
-                    np.sum(np.stack(list(self.histograms)), axis=0),
+                    self._horizon.total(),
                 )
         return UnitVerdict(
             unit=self.unit,
@@ -321,14 +323,13 @@ class BurstAnalyzer(_HealthMixin):
 
     def first_detection_quantum(self) -> Optional[int]:
         """Earliest retained quantum whose histogram prefix detects."""
-        hists: List[np.ndarray] = list(self.histograms)
-        feats: List[np.ndarray] = list(self._features)
+        hists = self.histograms
         offset = self.quanta_seen - len(hists)
-        for upto in range(1, len(hists) + 1):
+        prefix = SymbolHorizon(max(1, len(hists)))
+        for upto, hist in enumerate(hists, start=1):
+            prefix.push(hist)
             recurrence = analyze_recurrence(
-                hists[:upto],
-                lr_threshold=self.lr_threshold,
-                features=feats[:upto],
+                prefix, lr_threshold=self.lr_threshold
             )
             if recurrence.recurrent and recurrence.burst_clusters:
                 return offset + upto - 1
