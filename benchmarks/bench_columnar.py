@@ -6,9 +6,10 @@ audited session markedly faster than re-reading full tap history each
 quantum, and the vectorized ``push_batch`` estimator kernels beat their
 per-event ``push`` adapters by an order of magnitude or more. This bench
 measures both claims on the same hardware and commits the numbers to
-``BENCH_columnar.json`` at the repo root. It also re-checks the bargain
-the refactor was sold on: the two session paths must produce identical
-verdicts.
+``BENCH_columnar.json`` at the repo root. The legacy side is the same
+session with its source's window readers swapped, after ``audit``, for
+the full-history reader oracles of ``tests/sim/cache_oracle.py``; the
+two sides must produce identical verdicts.
 
 ``REPRO_BENCH_QUICK=1`` shrinks the trial count for CI smoke runs (the
 speedup assertions still apply; the committed JSON is only rewritten by
@@ -18,6 +19,7 @@ a full run).
 import json
 import os
 import statistics
+import sys
 from time import perf_counter
 
 import numpy as np
@@ -32,28 +34,32 @@ from repro.obs.metrics import NULL_REGISTRY
 from repro.sim.machine import Machine
 from repro.sim.process import BusLockBurst, Process
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
+from tests.sim.cache_oracle import install_full_history_readers  # noqa: E402
+
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 N_QUANTA = 30
 N_TRIALS = 2 if QUICK else 5
 KERNEL_SAMPLES = 50_000 if QUICK else 200_000
 
-_OUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_columnar.json",
-)
+_OUT_PATH = os.path.join(_ROOT, "BENCH_columnar.json")
 
 
 def _run_session(columnar):
-    """One audited membus session; returns (seconds, verdict dict)."""
+    """One audited membus session; returns (seconds, verdict dict).
+
+    ``columnar=False`` reads the taps' full history every quantum.
+    """
     config = MachineConfig(os_quantum_seconds=0.002)
     machine = Machine(config=config, seed=7, metrics=NULL_REGISTRY)
     hunter = CCHunter(
-        machine,
-        track_detection_latency=True,
-        metrics=NULL_REGISTRY,
-        columnar=columnar,
+        machine, track_detection_latency=True, metrics=NULL_REGISTRY
     )
     hunter.audit(AuditUnit.MEMORY_BUS, dt=1000)
+    if not columnar:
+        install_full_history_readers(hunter.source)
 
     def trojan(proc):
         while True:

@@ -5,8 +5,9 @@ claim three things, measured here on the same hardware and committed to
 ``BENCH_sim.json`` at the repo root:
 
 - a full audited cache-channel session runs markedly faster with the
-  vectorized ``access_series``/``random_traffic`` kernels than with
-  ``SharedCache(vectorized=False)``, while producing a bit-identical
+  vectorized ``access_series``/``random_traffic`` kernels than on the
+  per-access oracle cache of ``tests/sim/cache_oracle.py`` (installed
+  as the session's ``machine.l2``), while producing a bit-identical
   labeled event train;
 - the vectorized cache path clears >= 5x on the kernel it was built
   for — a hit-heavy hot-working-set series, where the legacy loop pays
@@ -25,29 +26,36 @@ a full run).
 import json
 import os
 import statistics
+import sys
 from time import perf_counter
 
 import numpy as np
 
 from conftest import record
 
-from repro.analysis.figures import run_channel_session
+from repro.channels.base import ChannelConfig
+from repro.channels.cache import CacheCovertChannel
 from repro.config import CacheConfig
+from repro.core.detector import AuditUnit, CCHunter
 from repro.hardware.bloom import BloomFilter
 from repro.hardware.conflict_tracker import GenerationConflictTracker
 from repro.sim.events import LabeledEventTap
+from repro.sim.machine import Machine
 from repro.sim.resources.cache import SharedCache
 from repro.util.bitstream import Message
+from repro.workloads.noise import background_noise_processes
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
+from tests.sim.cache_oracle import OracleCache, install_oracle_cache  # noqa: E402
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 N_QUANTA = 8 if QUICK else 16
 N_TRIALS = 2 if QUICK else 5
 KERNEL_SAMPLES = 50_000 if QUICK else 200_000
 
-_OUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_sim.json",
-)
+_OUT_PATH = os.path.join(_ROOT, "BENCH_sim.json")
 
 
 def _event_checksum(machine):
@@ -61,19 +69,30 @@ def _event_checksum(machine):
 
 
 def _run_session(vectorized):
-    """One audited cache-channel session; returns (seconds, checksum)."""
+    """One audited cache-channel session, as ``run_channel_session``
+    builds it; returns (seconds, checksum).
+
+    ``vectorized=False`` installs the per-access oracle cache as the
+    machine's L2 before anything else touches it.
+    """
     message = Message.random(12, rng=np.random.default_rng(7))
     t0 = perf_counter()
-    result = run_channel_session(
-        "cache",
-        message,
-        bandwidth_bps=100.0,
-        seed=11,
-        max_quanta=N_QUANTA,
-        noise=True,
-        cache_vectorized=vectorized,
+    machine = Machine(seed=11)
+    if not vectorized:
+        install_oracle_cache(machine)
+    hunter = CCHunter(machine)
+    channel = CacheCovertChannel(
+        machine, ChannelConfig(message=message, bandwidth_bps=100.0)
     )
-    return perf_counter() - t0, _event_checksum(result.machine)
+    hunter.audit(AuditUnit.CACHE)
+    channel.deploy()
+    quanta = max(1, min(channel.quanta_needed(), N_QUANTA))
+    background_noise_processes(
+        machine, n_quanta=quanta, seed=11,
+        avoid_contexts=(channel.trojan_ctx, channel.spy_ctx),
+    )
+    machine.run_quanta(quanta)
+    return perf_counter() - t0, _event_checksum(machine)
 
 
 def _median_session_seconds():
@@ -148,14 +167,10 @@ def _fresh_cache(vectorized):
     tracker = GenerationConflictTracker(
         capacity=n_sets * config.associativity
     )
-    cache = SharedCache(
-        config,
-        tracker,
-        LabeledEventTap("bench"),
-        np.random.default_rng(5),
-        vectorized=vectorized,
+    cls = SharedCache if vectorized else OracleCache
+    return cls(
+        config, tracker, LabeledEventTap("bench"), np.random.default_rng(5)
     )
-    return cache
 
 
 def _access_series_results():

@@ -6,9 +6,13 @@ blocks. Applied after CC-Hunter identifies a suspect pair, partitioning
 eliminates cross-group conflict misses — the cache channel's only
 signal — at the cost of reduced effective capacity per group.
 
-The implementation wraps the shared cache's ``access`` so each lookup
-operates on the subset of ways owned by the accessor's group: a fill may
-only evict a block whose owner is in the same group.
+The partition is a policy of the shared cache itself
+(:attr:`~repro.sim.resources.cache.SharedCache.partition`): each
+context belongs to a group and each group owns a number of ways, and a
+miss may only evict a block owned by its own group once that group fills
+its ways in the set. Mitigated runs therefore stay on the cache's batch
+kernel and step its latency-jitter pool like every other access;
+:meth:`_WayPartition.remove` clears the policy.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.machine import Machine
-from repro.sim.resources.cache import SharedCache, block_key
+from repro.sim.resources.cache import SharedCache
 
 
 class _WayPartition:
-    """Way-partitioned view over a SharedCache."""
+    """Handle on a way partition installed on a SharedCache."""
 
     def __init__(self, cache: SharedCache, group_of_ctx: Dict[int, int],
                  ways_of_group: Dict[int, int]):
@@ -34,74 +38,16 @@ class _WayPartition:
         self.cache = cache
         self.group_of_ctx = dict(group_of_ctx)
         self.ways_of_group = dict(ways_of_group)
-        self.cross_group_evictions_prevented = 0
-        self._original_access = cache.access
-        cache.access = self._partitioned_access  # type: ignore
+        cache.partition = (self.group_of_ctx, self.ways_of_group)
 
-    def _group(self, ctx: int) -> int:
-        if ctx not in self.group_of_ctx:
-            raise ConfigError(f"context {ctx} has no partition group")
-        return self.group_of_ctx[ctx]
-
-    def _partitioned_access(self, ctx, set_index, tag, time):
-        """Access restricted to the accessor group's ways.
-
-        Hits behave normally (data is where it is); on a miss the victim
-        is the LRU block *owned by the same group*, and the group may only
-        hold up to its way allocation in the set.
-        """
-        cache = self.cache
-        cache_set = cache._sets[set_index]
-        group = self._group(ctx)
-        if tag in cache_set:
-            return self._original_access(ctx, set_index, tag, time)
-        # Miss path: enforce the group's way budget manually.
-        cache.misses += 1
-        key = block_key(set_index, tag)
-        is_conflict = cache.tracker.check_recent_eviction(key)
-        group_tags = [
-            t for t, owner in cache_set.items()
-            if self.group_of_ctx.get(owner, -1) == group
-        ]
-        victim_owner = None
-        if len(group_tags) >= self.ways_of_group[group]:
-            victim_tag = group_tags[0]  # LRU among the group's blocks
-            victim_owner = cache_set.pop(victim_tag)
-            cache.tracker.on_replacement(block_key(set_index, victim_tag))
-        elif len(cache_set) >= cache.config.associativity:
-            # Set full but group under budget: another group is over its
-            # allocation (legacy blocks from before partitioning); evict
-            # the globally-LRU block without attributing a conflict pair.
-            victim_tag, _owner = cache_set.popitem(last=False)
-            cache.tracker.on_replacement(block_key(set_index, victim_tag))
-            self.cross_group_evictions_prevented += 1
-            victim_owner = None
-        cache_set[tag] = ctx
-        cache.tracker.on_access(key)
-        if is_conflict and victim_owner is not None:
-            cache.conflict_misses += 1
-            cache.miss_tap.record(time, ctx, victim_owner)
-        latency = cache.config.miss_latency
-        if cache.latency_jitter:
-            latency += int(cache._rng.integers(-cache.latency_jitter,
-                                               cache.latency_jitter + 1))
-        return latency, False
+    @property
+    def cross_group_evictions_prevented(self) -> int:
+        """Full-set misses that evicted another group's block."""
+        return self.cache.cross_group_evictions_prevented
 
     def remove(self) -> None:
-        """Restore the unpartitioned access path.
-
-        Drops the instance-level override entirely when the original was
-        the plain class method, so the cache's batch kernels (disabled
-        while any ``access`` wrapper is installed) re-engage; a stacked
-        wrapper is reinstalled as-is.
-        """
-        cache = self.cache
-        try:
-            del cache.access
-        except AttributeError:
-            pass
-        if cache.access != self._original_access:
-            cache.access = self._original_access  # type: ignore
+        """Restore unpartitioned replacement."""
+        self.cache.partition = None
 
 
 def partition_cache_ways(

@@ -12,33 +12,35 @@ Private L1s are modeled implicitly: operations issued here are the
 accesses that reach L2 (covert-channel and noise working sets are sized to
 defeat the 32 KB L1s, as in the paper's attack implementations).
 
-Batched hot path: ``access_series`` and ``random_traffic`` are the
-simulator's dominant cost, so by default they run through a vectorized
-kernel — block keys, latency jitter, per-access times, and conflict-event
-recording are computed in numpy over the whole series, and only the
-state-dependent LRU/replacement/tracker walk remains a (tight,
-locals-bound) Python loop. With the stock generation tracker that loop
-only logs its bloom traffic (eviction checks, victim inserts, flash-
-clears, by position); one sequential replay walk per series then
-answers the checks and applies the inserts exactly as the per-access
-order would. The per-access :meth:`SharedCache.access`
-adapter and ``SharedCache(vectorized=False)`` keep the legacy per-event
-path, which the parity suite proves bit-identical (events, latencies,
-counters, RNG/jitter stepping). When ``access`` has been monkey-patched
-(e.g. way-partition mitigation wraps it), the batch entry points
-automatically fall back to the legacy loop so the wrapper stays in
-charge.
+Batched hot path: every access runs through one series kernel.
+``access_series`` and ``random_traffic`` compute block keys, latency
+jitter, per-access times and conflict-event recording in numpy over the
+whole series, and only the state-dependent LRU/replacement/tracker walk
+remains a (tight, locals-bound) Python loop. With the stock generation
+tracker that loop only logs its bloom traffic (eviction checks, victim
+inserts, flash-clears, by position); one sequential replay walk per
+series then answers the checks and applies the inserts exactly as a
+per-access walk would. :meth:`SharedCache.access` is a one-row series.
+
+Way partitioning (:mod:`repro.mitigation.partition`) is a policy of
+this cache: while :attr:`SharedCache.partition` is set, misses take the
+group-aware victim rule in the generic keyed loop, so mitigated runs
+keep the batch kernel and its jitter stepping.
+
+Bit-identity with a per-access reference loop is pinned by the frozen
+session digests in ``tests/golden/sessions.json`` and by the per-access
+loop kept as a test oracle in ``tests/sim/cache_oracle.py``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import CacheConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.hardware.conflict_tracker import (
     ConflictMissTracker,
     GenerationConflictTracker,
@@ -65,7 +67,6 @@ class SharedCache:
         miss_tap: LabeledEventTap,
         rng: np.random.Generator,
         latency_jitter: int = 3,
-        vectorized: bool = True,
     ):
         if config.n_sets > _MAX_SET:
             raise SimulationError(
@@ -76,9 +77,13 @@ class SharedCache:
         self.miss_tap = miss_tap
         self._rng = rng
         self.latency_jitter = latency_jitter
-        #: Batch-kernel switch; ``False`` forces the legacy per-access loop
-        #: (the parity suite's reference path).
-        self.vectorized = vectorized
+        #: Way partition ``(group of each context, ways of each group)``,
+        #: or None. While set, a miss may only evict a block of its own
+        #: group once the group fills its ways in the set.
+        self.partition: Optional[Tuple[Dict[int, int], Dict[int, int]]] = None
+        #: Full-set misses under a partition that had to evict another
+        #: group's (pre-partition) block, attributed to no conflict pair.
+        self.cross_group_evictions_prevented = 0
         # Per-access jitter comes from a pre-drawn pool (drawing one numpy
         # random per access dominates the hot path otherwise).
         if latency_jitter:
@@ -101,7 +106,7 @@ class SharedCache:
     # ---------------------------------------------------------------- access
 
     def access(self, ctx: int, set_index: int, tag: int, time: int) -> Tuple[int, bool]:
-        """One L2 access. Returns ``(latency, hit)``.
+        """One L2 access at ``time`` (a one-row series): ``(latency, hit)``.
 
         On a miss, the incoming tag is checked against the conflict tracker
         *before* insertion; if it was recently prematurely evicted and the
@@ -109,46 +114,9 @@ class SharedCache:
         ``(replacer=ctx, victim=victim owner)`` is recorded, mirroring what
         the CC-auditor's vector registers capture.
         """
-        if not 0 <= set_index < self.config.n_sets:
-            raise SimulationError(
-                f"set index {set_index} outside 0..{self.config.n_sets - 1}"
-            )
-        cache_set = self._sets[set_index]
-        key = block_key(set_index, tag)
-        was_hit = tag in cache_set
-        if was_hit:
-            cache_set.move_to_end(tag)
-            cache_set[tag] = ctx
-            self.tracker.on_access(key)
-            self.hits += 1
-            latency = self.config.hit_latency
-        else:
-            self.misses += 1
-            is_conflict = self.tracker.check_recent_eviction(key)
-            victim_owner: Optional[int] = None
-            if len(cache_set) >= self.config.associativity:
-                victim_tag, victim_owner = cache_set.popitem(last=False)
-                self.tracker.on_replacement(block_key(set_index, victim_tag))
-            cache_set[tag] = ctx
-            self.tracker.on_access(key)
-            if is_conflict and victim_owner is not None:
-                self.conflict_misses += 1
-                self.miss_tap.record(time, ctx, victim_owner)
-            latency = self.config.miss_latency
-        if self.latency_jitter:
-            pool = self._jitter_pool
-            self._jitter_idx = (self._jitter_idx + 1) % len(pool)
-            latency += pool[self._jitter_idx]
-        return latency, was_hit
-
-    def _use_batch_kernel(self) -> bool:
-        """Batch kernels apply unless disabled or ``access`` is wrapped.
-
-        Mitigations (way partitioning) install an instance-level
-        ``access`` override; the batch kernel would silently bypass it,
-        so its presence forces the legacy per-access loop.
-        """
-        return self.vectorized and "access" not in self.__dict__
+        misses = self.misses
+        _end, latencies = self.access_series(ctx, ((set_index, tag),), 0, time)
+        return int(latencies[0]), self.misses == misses
 
     def _run_keyed_accesses(self, ctx, sets_list, tags_list, keys_list):
         """The state-dependent core: per-set LRU plus conflict tracking.
@@ -159,9 +127,11 @@ class SharedCache:
         conflict_victims)`` where positions index into the series. The
         stock generation tracker gets a fused loop with its state
         transitions inlined and its bloom traffic deferred into batch
-        kernels; any other tracker goes through per-key calls.
+        kernels; any other tracker, and any access under a way
+        partition, goes through per-key calls.
         """
-        if type(self.tracker) is GenerationConflictTracker:
+        fused = type(self.tracker) is GenerationConflictTracker
+        if fused and self.partition is None:
             return self._run_keyed_accesses_fused(
                 ctx, sets_list, tags_list, keys_list
             )
@@ -182,8 +152,8 @@ class SharedCache:
         :meth:`GenerationConflictTracker.replay_check_batch` walks those
         logs once in position order to answer every check as of its
         position and leave the blooms in their final state. The
-        observable outcome per access is exactly the scalar
-        :meth:`access` order: hit → LRU touch, access-bit; miss →
+        observable outcome per access is exactly the per-access
+        order: hit → LRU touch, access-bit; miss →
         eviction check, replacement insert, fill, access-bit.
         """
         sets_ = self._sets
@@ -276,6 +246,12 @@ class SharedCache:
             tr_access = tracker.on_access
             tr_replace = tracker.on_replacement
             tr_check = tracker.check_recent_eviction
+        group = None
+        if self.partition is not None:
+            group_of_ctx = self.partition[0]
+            if ctx not in group_of_ctx:
+                raise ConfigError(f"context {ctx} has no partition group")
+            group = group_of_ctx[ctx]
         miss_pos: List[int] = []
         miss_append = miss_pos.append
         conf_pos: List[int] = []
@@ -289,27 +265,50 @@ class SharedCache:
                 cache_set.move_to_end(tag)
                 cache_set[tag] = ctx
                 tr_access(key)
+                continue
+            miss_append(i)
+            is_conflict = tr_check(key)
+            if group is not None:
+                victim_tag, victim_owner = self._partition_victim(cache_set, group)
+            elif len(cache_set) >= assoc:
+                victim_tag, victim_owner = cache_set.popitem(False)
             else:
-                miss_append(i)
-                is_conflict = tr_check(key)
-                if len(cache_set) >= assoc:
-                    victim_tag, victim_owner = cache_set.popitem(False)
-                    tr_replace((victim_tag << shift) | s)
-                    cache_set[tag] = ctx
-                    tr_access(key)
-                    if is_conflict:
-                        conf_pos.append(i)
-                        conf_vic.append(victim_owner)
-                else:
-                    cache_set[tag] = ctx
-                    tr_access(key)
+                victim_tag = victim_owner = None
+            if victim_tag is not None:
+                tr_replace((victim_tag << shift) | s)
+            cache_set[tag] = ctx
+            tr_access(key)
+            if is_conflict and victim_owner is not None:
+                conf_pos.append(i)
+                conf_vic.append(victim_owner)
         return miss_pos, conf_pos, conf_vic
 
-    def _consume_jitter(self, n: int) -> np.ndarray:
-        """The next ``n`` pool values, exactly as ``access`` would step them.
+    def _partition_victim(self, cache_set, group):
+        """``(tag, owner)`` a miss by ``group`` evicts under the partition.
 
-        ``access`` pre-increments, so the slice starts one past the
-        current index; the index afterwards equals ``n`` legacy steps.
+        The group's own LRU block once the group holds its way budget in
+        the set. Otherwise, if the set is full (another group is over its
+        budget with blocks from before partitioning), the set's LRU block
+        with owner None, so no conflict pair is attributed. Otherwise no
+        victim: ``(None, None)``.
+        """
+        group_of_ctx, ways_of_group = self.partition
+        group_tags = [
+            t for t, owner in cache_set.items()
+            if group_of_ctx.get(owner, -1) == group
+        ]
+        if len(group_tags) >= ways_of_group[group]:
+            return group_tags[0], cache_set.pop(group_tags[0])
+        if len(cache_set) >= self.config.associativity:
+            self.cross_group_evictions_prevented += 1
+            return cache_set.popitem(False)[0], None
+        return None, None
+
+    def _consume_jitter(self, n: int) -> np.ndarray:
+        """The next ``n`` jitter pool values; the index steps by ``n``.
+
+        Each access pre-increments the index, so the slice starts one
+        past the current index.
         """
         pool = self._jitter_pool_np
         size = pool.size
@@ -335,8 +334,6 @@ class SharedCache:
         start: int,
     ) -> Tuple[int, np.ndarray]:
         """Issue accesses back-to-back; returns ``(end_time, latencies)``."""
-        if not self._use_batch_kernel():
-            return self._access_series_legacy(ctx, accesses, gap, start)
         n = len(accesses)
         if n == 0:
             return int(start), np.empty(0, dtype=np.int64)
@@ -369,24 +366,6 @@ class SharedCache:
             self._record_conflicts(ends - steps, conf_pos, conf_vic, ctx)
         return int(ends[-1]), latencies
 
-    def _access_series_legacy(
-        self,
-        ctx: int,
-        accesses: Sequence[Tuple[int, int]],
-        gap: int,
-        start: int,
-    ) -> Tuple[int, np.ndarray]:
-        """Reference path: one :meth:`access` call per element."""
-        if isinstance(accesses, np.ndarray):
-            accesses = accesses.tolist()
-        t = int(start)
-        latencies = np.empty(len(accesses), dtype=np.int64)
-        for i, (set_index, tag) in enumerate(accesses):
-            latency, _hit = self.access(ctx, set_index, tag, t)
-            latencies[i] = latency
-            t += latency + gap
-        return t, latencies
-
     def random_traffic(
         self,
         ctx: int,
@@ -412,10 +391,6 @@ class SharedCache:
         sets = self._rng.integers(set_lo, hi, size=count)
         # Tag namespace disjoint per context so noise cannot alias covert tags.
         tags = self._rng.integers(0, tag_space, size=count) + (ctx + 1) * 1_000_000
-        if not self._use_batch_kernel():
-            for t, s, tag in zip(times, sets, tags):
-                self.access(ctx, int(s), int(tag), int(t))
-            return start + duration
         keys = (tags << _TAG_SHIFT) | sets
         miss_pos, conf_pos, conf_vic = self._run_keyed_accesses(
             ctx, sets.tolist(), tags.tolist(), keys.tolist()
@@ -425,7 +400,7 @@ class SharedCache:
         self.misses += n_miss
         if self.latency_jitter:
             # Latencies are discarded by noise traffic, but the pool index
-            # must step exactly as the legacy per-access loop steps it.
+            # steps once per access like every other access.
             self._jitter_idx = (
                 self._jitter_idx + count
             ) % self._jitter_pool_np.size

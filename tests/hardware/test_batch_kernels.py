@@ -22,6 +22,7 @@ from repro.hardware.bloom import (
 from repro.hardware.conflict_tracker import GenerationConflictTracker
 from repro.sim.events import LabeledEventTap
 from repro.sim.resources.cache import SharedCache
+from tests.sim.cache_oracle import OracleCache
 
 KEYS = st.lists(st.integers(0, 2**50), max_size=120)
 GEOMETRY = st.tuples(
@@ -317,27 +318,28 @@ SERIES = st.lists(
 
 
 class TestAccessSeriesEquivalence:
+    """The batch series kernel against the per-access oracle loop."""
+
     @settings(max_examples=50, deadline=None)
     @given(chunks=st.lists(SERIES, max_size=4), jitter=st.sampled_from((0, 3)))
     def test_vectorized_matches_legacy_including_jitter(self, chunks, jitter):
-        def build(vectorized):
+        def build(cls):
             config = CacheConfig(size_bytes=8 * 1024)  # 16 sets x 8 ways
             tracker = GenerationConflictTracker(
                 config.n_sets * config.associativity
             )
             tap = LabeledEventTap("prop")
-            cache = SharedCache(
+            cache = cls(
                 config,
                 tracker,
                 tap,
                 np.random.default_rng(77),
                 latency_jitter=jitter,
-                vectorized=vectorized,
             )
             return cache, tap
 
-        vec, tap_vec = build(True)
-        leg, tap_leg = build(False)
+        vec, tap_vec = build(SharedCache)
+        leg, tap_leg = build(OracleCache)
         t_vec = t_leg = 0
         for chunk in chunks:
             t_vec, lat_vec = vec.access_series(0, tuple(chunk), 8, t_vec)

@@ -1,194 +1,102 @@
-"""Exact-parity proof: vectorized cache kernels vs legacy per-access loop.
+"""Exact-parity proof: the batched cache kernel vs its per-access oracle.
 
-The batched ``access_series``/``random_traffic`` kernels
-(``SharedCache(vectorized=True)``, the default) must be *bit-identical*
-to the legacy per-access path — same labeled event trains, same
-verdicts, same evidence bundles, same counters, same jitter-pool (RNG)
-stepping — on full audited sessions and on direct cache workloads, with
-and without fault injectors, for both tracker designs, and through the
-mitigation wrappers that monkey-patch the cache (docs/PERFORMANCE.md,
-"Simulator hot path").
+The batch ``access_series``/``random_traffic`` kernel of
+:class:`~repro.sim.resources.cache.SharedCache` is the only production
+cache path. Whole audited sessions are pinned by the frozen digests in
+``tests/golden/sessions.json`` (labeled event trains, verdicts, evidence
+bundles, counters, jitter-pool stepping, tracker state — with and
+without fault injectors). Direct cache workloads are diffed against
+:class:`tests.sim.cache_oracle.OracleCache`, the per-access loop, for
+both tracker designs, with and without a way partition
+(docs/PERFORMANCE.md, "Simulator hot path").
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.figures import run_channel_session
+from repro.channels.base import ChannelConfig
+from repro.channels.cache import CacheCovertChannel
 from repro.config import CacheConfig
-from repro.faults.injectors import BitFlipInjector, DropInjector
+from repro.errors import SimulationError
 from repro.hardware.conflict_tracker import (
     GenerationConflictTracker,
     IdealLRUConflictTracker,
 )
+from repro.mitigation import partition_cache_ways
 from repro.mitigation.partition import _WayPartition
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.events import LabeledEventTap
+from repro.sim.machine import Machine
 from repro.sim.resources.cache import SharedCache
-from repro.traces import export_traces, load_traces
 from repro.util.bitstream import Message
+from tests.golden.test_sessions_golden import assert_matches_golden
+from tests.sim.cache_oracle import OracleCache
 
 pytestmark = pytest.mark.parity
-
-COUNT_METRICS = (
-    "cchunter_source_observations_total",
-    "cchunter_source_channel_events_total",
-    "cchunter_source_conflict_records_total",
-    "cchunter_session_quanta_total",
-    "cchunter_analyzer_windows_total",
-    "cchunter_analyzer_events_total",
-    "cchunter_analyzer_train_events_total",
-)
 
 #: Both channel families exercise the cache: 'cache' through the covert
 #: sweep/probe series, 'membus' through the background noise traffic.
 KINDS = ("membus", "cache")
+SEED = 11
 
+VERDICT_FIELDS = ("report_sha256", "evidence_sha256", "count_metrics_sha256")
 
-def _run(kind, vectorized, injectors=(), capture_evidence=True):
-    metrics = MetricsRegistry()
-    run = run_channel_session(
-        kind,
-        Message.random(12, 7),
-        bandwidth_bps=100.0,
-        seed=11,
-        max_quanta=12,
-        track_detection_latency=True,
-        injectors=injectors,
-        capture_evidence=capture_evidence,
-        metrics=metrics,
-        cache_vectorized=vectorized,
-    )
-    return run, metrics
-
-
-def _count_metrics(metrics):
-    dump = metrics.to_dict()["metrics"]
-    return {
-        name: dump[name]["series"]
-        for name in COUNT_METRICS
-        if name in dump
-    }
-
-
-def _evidence_dicts(hunter):
-    return {
-        unit: bundle.to_dict()
-        for unit, bundle in hunter.session.evidence().items()
-    }
-
-
-def _cache_event_train(machine):
-    times, replacers, victims = machine.cache_miss_tap.records()
-    return times.tolist(), replacers.tolist(), victims.tolist()
+#: Contexts 0 and 1 each quarantined in 2 ways, 2 and 3 sharing 4.
+GROUP_OF_CTX = {0: 0, 1: 1, 2: 2, 3: 2}
+WAYS_OF_GROUP = {0: 2, 1: 2, 2: 4}
 
 
 class TestSessionParity:
     @pytest.mark.parametrize("kind", KINDS)
     def test_verdicts_evidence_and_metrics_identical(self, kind):
-        run_vec, m_vec = _run(kind, vectorized=True)
-        run_leg, m_leg = _run(kind, vectorized=False)
-        assert (
-            run_vec.hunter.report().to_dict()
-            == run_leg.hunter.report().to_dict()
-        )
-        assert _evidence_dicts(run_vec.hunter) == _evidence_dicts(
-            run_leg.hunter
-        )
-        assert _count_metrics(m_vec) == _count_metrics(m_leg)
+        assert_matches_golden(f"{kind}:{SEED}:clean", *VERDICT_FIELDS)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_labeled_event_trains_identical(self, kind):
-        run_vec, _ = _run(kind, vectorized=True)
-        run_leg, _ = _run(kind, vectorized=False)
-        assert _cache_event_train(run_vec.machine) == _cache_event_train(
-            run_leg.machine
+        assert_matches_golden(
+            f"{kind}:{SEED}:clean", "conflict_train_sha256", "l2", "jitter_idx"
         )
-        vec_l2, leg_l2 = run_vec.machine.l2, run_leg.machine.l2
-        assert (vec_l2.hits, vec_l2.misses, vec_l2.conflict_misses) == (
-            leg_l2.hits,
-            leg_l2.misses,
-            leg_l2.conflict_misses,
-        )
-        assert vec_l2._jitter_idx == leg_l2._jitter_idx
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_tracker_state_identical(self, kind):
-        run_vec, _ = _run(kind, vectorized=True)
-        run_leg, _ = _run(kind, vectorized=False)
-        vec_tr = run_vec.machine.l2.tracker
-        leg_tr = run_leg.machine.l2.tracker
-        assert vec_tr._current == leg_tr._current
-        assert vec_tr._gen_bits == leg_tr._gen_bits
-        assert vec_tr._accessed_in_current == leg_tr._accessed_in_current
-        for vec_bloom, leg_bloom in zip(vec_tr._blooms, leg_tr._blooms):
-            assert vec_bloom._words == leg_bloom._words
+        assert_matches_golden(f"{kind}:{SEED}:clean", "tracker")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_verdicts_identical_under_injection(self, kind):
-        def injectors():
-            return (
-                DropInjector(p=0.2, seed=5),
-                BitFlipInjector(p=0.05, seed=9),
-            )
+        assert_matches_golden(f"{kind}:{SEED}:inject", *VERDICT_FIELDS)
 
-        run_vec, m_vec = _run(kind, vectorized=True, injectors=injectors())
-        run_leg, m_leg = _run(kind, vectorized=False, injectors=injectors())
-        assert (
-            run_vec.hunter.report().to_dict()
-            == run_leg.hunter.report().to_dict()
-        )
-        assert _evidence_dicts(run_vec.hunter) == _evidence_dicts(
-            run_leg.hunter
-        )
-        assert _count_metrics(m_vec) == _count_metrics(m_leg)
-
-    def test_exported_archives_identical(self, tmp_path):
-        run_vec, _ = _run("cache", vectorized=True, capture_evidence=False)
-        run_leg, _ = _run("cache", vectorized=False, capture_evidence=False)
-        p_vec = tmp_path / "vec.npz"
-        p_leg = tmp_path / "leg.npz"
-        export_traces(run_vec.machine, p_vec)
-        export_traces(run_leg.machine, p_leg)
-        a, b = load_traces(p_vec), load_traces(p_leg)
-        np.testing.assert_array_equal(a.cache_times, b.cache_times)
-        np.testing.assert_array_equal(a.bus_lock_times, b.bus_lock_times)
+    def test_exported_archives_identical(self):
+        assert_matches_golden(f"cache:{SEED}:clean", "archive")
 
 
-def _make_cache(vectorized, tracker_factory, seed=23):
+def _make_cache(cls, tracker_factory, seed=23):
     config = CacheConfig(size_bytes=64 * 1024)  # 128 sets x 8 ways
     tracker = tracker_factory(config.n_sets * config.associativity)
     tap = LabeledEventTap("parity")
-    cache = SharedCache(
-        config,
-        tracker,
-        tap,
-        np.random.default_rng(seed),
-        vectorized=vectorized,
-    )
+    cache = cls(config, tracker, tap, np.random.default_rng(seed))
     return cache, tap
 
 
 def _mixed_workload(cache):
     """Interleaved singles, tuple series, ndarray series, random traffic.
 
-    Covers both fused loop bodies (hit-heavy series after warmup,
-    miss-heavy thrash series) and the RNG draw order of
-    ``random_traffic``. Returns the observable outputs.
+    Covers hit-heavy series after warmup, miss-heavy thrash series and
+    the RNG draw order of ``random_traffic``. Returns the observable
+    outputs.
     """
     rng = np.random.default_rng(41)
     outputs = []
     t = 0
-    # Warmup fills + a hit-heavy hot set (exercises the hit-sampled body).
+    # Warmup fills + a hit-heavy hot set.
     hot = [(int(s), int(g)) for s in range(16) for g in range(8)]
     for _ in range(3):
         t, lat = cache.access_series(0, tuple(hot), 8, t)
         outputs.append(lat.tolist())
-    # Miss-heavy thrash: 9 tags cycling through 8 ways (miss-sampled body).
+    # Miss-heavy thrash: 9 tags cycling through 8 ways.
     thrash = [(int(s), int(100 + (i + s) % 9)) for i in range(40)
               for s in range(8)]
     t, lat = cache.access_series(1, np.asarray(thrash, dtype=np.int64), 8, t)
     outputs.append(lat.tolist())
-    # Per-access adapter interleaved with series work.
+    # Single accesses interleaved with series work.
     for i in range(50):
         latency, hit = cache.access(2, int(rng.integers(0, 128)),
                                     int(rng.integers(0, 4)), t)
@@ -207,10 +115,12 @@ def _state_fingerprint(cache, tap):
     times, replacers, victims = tap.records()
     fp = {
         "counters": (cache.hits, cache.misses, cache.conflict_misses),
+        "cross_group_evictions": cache.cross_group_evictions_prevented,
         "jitter_idx": cache._jitter_idx,
         "occupancy": cache.occupancy,
         "train": (times.tolist(), replacers.tolist(), victims.tolist()),
-        "sets": [dict(s) for s in cache._sets],
+        "sets": [list(s.items()) for s in cache._sets],
+        "next_rng_draws": cache._rng.integers(0, 1 << 30, size=4).tolist(),
     }
     tracker = cache.tracker
     if isinstance(tracker, GenerationConflictTracker):
@@ -220,73 +130,143 @@ def _state_fingerprint(cache, tap):
             dict(tracker._gen_bits),
             [list(b._words) for b in tracker._blooms],
         )
+    else:
+        fp["tracker"] = list(tracker._stack._stack)
     return fp
 
 
+TRACKERS = pytest.mark.parametrize(
+    "tracker_factory",
+    (GenerationConflictTracker, IdealLRUConflictTracker),
+    ids=("generation", "ideal-lru"),
+)
+
+
 class TestDirectCacheParity:
-    @pytest.mark.parametrize(
-        "tracker_factory",
-        (GenerationConflictTracker, IdealLRUConflictTracker),
-        ids=("generation", "ideal-lru"),
-    )
+    @TRACKERS
     def test_mixed_workload_identical(self, tracker_factory):
-        cache_vec, tap_vec = _make_cache(True, tracker_factory)
-        cache_leg, tap_leg = _make_cache(False, tracker_factory)
-        out_vec, end_vec = _mixed_workload(cache_vec)
-        out_leg, end_leg = _mixed_workload(cache_leg)
-        assert out_vec == out_leg
-        assert end_vec == end_leg
-        assert _state_fingerprint(cache_vec, tap_vec) == _state_fingerprint(
-            cache_leg, tap_leg
+        cache, tap = _make_cache(SharedCache, tracker_factory)
+        oracle, oracle_tap = _make_cache(OracleCache, tracker_factory)
+        out, end = _mixed_workload(cache)
+        out_oracle, end_oracle = _mixed_workload(oracle)
+        assert out == out_oracle
+        assert end == end_oracle
+        assert _state_fingerprint(cache, tap) == _state_fingerprint(
+            oracle, oracle_tap
         )
 
     def test_empty_and_single_series(self):
-        cache_vec, _ = _make_cache(True, GenerationConflictTracker)
-        cache_leg, _ = _make_cache(False, GenerationConflictTracker)
-        for cache in (cache_vec, cache_leg):
-            end, lat = cache.access_series(0, (), 8, 100)
+        cache, _ = _make_cache(SharedCache, GenerationConflictTracker)
+        oracle, _ = _make_cache(OracleCache, GenerationConflictTracker)
+        for c in (cache, oracle):
+            end, lat = c.access_series(0, (), 8, 100)
             assert end == 100 and lat.size == 0
-        end_vec, lat_vec = cache_vec.access_series(0, ((3, 7),), 5, 100)
-        end_leg, lat_leg = cache_leg.access_series(0, ((3, 7),), 5, 100)
-        assert end_vec == end_leg
-        assert lat_vec.tolist() == lat_leg.tolist()
+        end, lat = cache.access_series(0, ((3, 7),), 5, 100)
+        end_oracle, lat_oracle = oracle.access_series(0, ((3, 7),), 5, 100)
+        assert end == end_oracle
+        assert lat.tolist() == lat_oracle.tolist()
 
     def test_bad_set_index_raises_both_paths(self):
-        from repro.errors import SimulationError
-
-        for vectorized in (True, False):
-            cache, _ = _make_cache(vectorized, GenerationConflictTracker)
+        for cls in (SharedCache, OracleCache):
+            cache, _ = _make_cache(cls, GenerationConflictTracker)
             with pytest.raises(SimulationError):
                 cache.access_series(0, ((100_000, 1),), 8, 0)
 
 
-class TestMitigationFallback:
-    def test_partition_wrapper_disables_batch_kernel(self):
-        cache, _ = _make_cache(True, GenerationConflictTracker)
-        assert cache._use_batch_kernel()
-        partition = _WayPartition(
-            cache, {0: 0, 1: 1, 2: 2, 3: 2}, {0: 2, 1: 2, 2: 4}
+def _partitioned_pair(tracker_factory):
+    """Production cache and oracle, both warmed by context 3 across all
+    8 ways of the hot sets *before* partitioning, so partitioned misses
+    there must evict another group's pre-partition blocks."""
+    pair = []
+    for cls in (SharedCache, OracleCache):
+        cache, tap = _make_cache(cls, tracker_factory)
+        cache.access_series(
+            3, tuple((s, 500 + w) for s in range(16) for w in range(8)), 8, 0
         )
-        assert not cache._use_batch_kernel()
-        partition.remove()
-        assert cache._use_batch_kernel()
+        _WayPartition(cache, GROUP_OF_CTX, WAYS_OF_GROUP)
+        pair.append((cache, tap))
+    return pair
 
-    def test_partitioned_series_identical_both_paths(self):
-        results = []
-        for vectorized in (True, False):
-            cache, tap = _make_cache(vectorized, GenerationConflictTracker)
-            _WayPartition(
-                cache, {0: 0, 1: 1, 2: 2, 3: 2}, {0: 2, 1: 2, 2: 4}
-            )
-            t = 0
-            lats = []
+
+class TestPartitionPolicy:
+    """Way partitioning as a policy of the batch kernel."""
+
+    @TRACKERS
+    def test_partitioned_workload_matches_oracle(self, tracker_factory):
+        (cache, tap), (oracle, oracle_tap) = _partitioned_pair(tracker_factory)
+        out, end = _mixed_workload(cache)
+        out_oracle, end_oracle = _mixed_workload(oracle)
+        assert out == out_oracle
+        assert end == end_oracle
+        fp = _state_fingerprint(cache, tap)
+        assert fp == _state_fingerprint(oracle, oracle_tap)
+        assert fp["cross_group_evictions"] > 0
+
+    def test_partitioned_series_matches_oracle(self):
+        (cache, tap), (oracle, oracle_tap) = _partitioned_pair(
+            GenerationConflictTracker
+        )
+
+        def run(c):
+            t, trace = 0, []
             for ctx in (0, 1, 0, 1):
                 pattern = tuple(
                     (s, 10 + ctx) for s in range(8) for _ in range(3)
                 )
-                t, lat = cache.access_series(ctx, pattern, 8, t)
-                lats.append(lat.tolist())
-            results.append(
-                (lats, t, cache.hits, cache.misses, tap.records()[0].tolist())
-            )
-        assert results[0] == results[1]
+                t, lat = c.access_series(ctx, pattern, 8, t)
+                trace.append((lat.tolist(), t))
+            return trace
+
+        assert run(cache) == run(oracle)
+        assert _state_fingerprint(cache, tap) == _state_fingerprint(
+            oracle, oracle_tap
+        )
+
+    def test_partitioned_misses_step_jitter_pool(self):
+        """A partitioned miss draws its jitter from the pool like any
+        access and leaves the noise RNG alone: ``_jitter_idx`` advances
+        by exactly n per n-access series, and the cache RNG's next draws
+        equal those of an unpartitioned twin."""
+        cache, _ = _make_cache(SharedCache, GenerationConflictTracker)
+        twin, _ = _make_cache(SharedCache, GenerationConflictTracker)
+        _WayPartition(cache, GROUP_OF_CTX, WAYS_OF_GROUP)
+        misses = tuple((s, 1000 + s) for s in range(8))
+        t = 0
+        for round_idx in range(3):
+            before = cache._jitter_idx
+            t, _lat = cache.access_series(0, misses, 8, t)
+            twin.access_series(0, misses, 8, 0)
+            assert cache._jitter_idx == before + len(misses)
+        assert cache._jitter_idx == twin._jitter_idx == 3 * len(misses)
+        assert (
+            cache._rng.integers(0, 1 << 30, size=8).tolist()
+            == twin._rng.integers(0, 1 << 30, size=8).tolist()
+        )
+
+    def test_partitioned_session_runs_batch_kernel(self, monkeypatch):
+        """A mitigated audited session's cache traffic goes through the
+        batch kernel's keyed loop, never the single-access entry."""
+        calls = {"keyed": 0, "access": 0}
+        keyed = SharedCache._run_keyed_accesses
+
+        def counting_keyed(self, *args):
+            calls["keyed"] += 1
+            return keyed(self, *args)
+
+        def counting_access(self, *args):
+            calls["access"] += 1
+            raise AssertionError("per-access entry used")
+
+        monkeypatch.setattr(SharedCache, "_run_keyed_accesses", counting_keyed)
+        monkeypatch.setattr(SharedCache, "access", counting_access)
+        machine = Machine(seed=6)
+        channel = CacheCovertChannel(
+            machine,
+            ChannelConfig(message=Message.random(8, 3), bandwidth_bps=1000.0),
+            n_sets_total=16,
+        )
+        channel.deploy()
+        partition_cache_ways(machine, (channel.trojan_ctx, channel.spy_ctx))
+        machine.run_quanta(1)
+        assert machine.l2.partition is not None
+        assert calls["keyed"] > 0 and calls["access"] == 0
