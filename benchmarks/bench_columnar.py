@@ -90,6 +90,10 @@ def _median_session_seconds():
 
 
 def _time_kernel(fn, *args):
+    # One untimed call first: a cold kernel's first BLAS calls can take
+    # hundreds of times longer than warm ones, and best-of-3 need not
+    # outlast that warm-up.
+    fn(*args)
     best = float("inf")
     for _ in range(3):
         t0 = perf_counter()
@@ -176,7 +180,8 @@ def test_columnar_speedup(benchmark):
             f"{name:<18} push_batch {k['speedup']:6.1f}x faster than "
             f"per-event push ({k['samples']} samples)"
         )
-    lines.append(f"(written to {_OUT_PATH})")
+    if not QUICK:
+        lines.append(f"(written to {_OUT_PATH})")
     record("Extension: columnar hot path", *lines)
     # The streaming readers must actually pay for themselves...
     assert ses["speedup"] > 1.5, results

@@ -36,19 +36,10 @@ Objectives shipped by default (see docs/OBSERVABILITY.md):
 from __future__ import annotations
 
 import json
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from time import monotonic
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, get_default
@@ -127,8 +118,61 @@ DEFAULT_RULES: Tuple[BurnRateRule, ...] = (
 )
 
 
+class _Window:
+    """One ``(tenant, objective)``'s samples, queried by bisection.
+
+    ``times`` is non-decreasing and ``bad_cum[i]`` counts the bad
+    samples before ``times[i]``, so the bad count of any suffix is one
+    subtraction. Samples before ``start`` are dead: older than the
+    horizon at the newest observation, or beyond the newest
+    ``_MAX_SAMPLES``. The dead prefix is deleted once it outgrows the
+    live part, which keeps appends amortised O(1).
+    """
+
+    __slots__ = ("times", "bad_cum", "start")
+
+    def __init__(self) -> None:
+        self.times: List[float] = []
+        self.bad_cum: List[int] = [0]
+        self.start = 0
+
+    def append(self, t: float, bad: bool, horizon_cut: float) -> None:
+        times = self.times
+        if times and t < times[-1]:
+            raise ValueError(
+                f"SLO sample at t={t} precedes the newest sample "
+                f"(t={times[-1]}); timestamps must be non-decreasing"
+            )
+        times.append(t)
+        self.bad_cum.append(self.bad_cum[-1] + bad)
+        n = len(times)
+        start = max(self.start, n - _MAX_SAMPLES)
+        if times[start] < horizon_cut:
+            start = bisect_left(times, horizon_cut, start, n)
+        if start > n - start:
+            del times[:start]
+            del self.bad_cum[:start]
+            start = 0
+        self.start = start
+
+    def counts(self, cutoff: float) -> Tuple[int, int]:
+        """(bad, total) live samples at or after ``cutoff``."""
+        first = bisect_left(self.times, cutoff, self.start)
+        n = len(self.times)
+        return self.bad_cum[n] - self.bad_cum[first], n - first
+
+
+def _burn(bad: int, total: int, budget: float) -> float:
+    return (bad / total) / budget if total else 0.0
+
+
 class SloTracker:
-    """Rolling per-tenant SLO windows plus burn-rate alert evaluation."""
+    """Rolling per-tenant SLO windows plus burn-rate alert evaluation.
+
+    Each window query costs one bisection, whatever the sample count.
+    Timestamps must be non-decreasing per ``(tenant, objective)``;
+    :meth:`observe` rejects an earlier one with ``ValueError``.
+    """
 
     def __init__(
         self,
@@ -152,8 +196,11 @@ class SloTracker:
         self._horizon = max(
             (rule.long_window_s for rule in self.rules), default=0.0
         )
-        #: (tenant, objective) -> deque of (timestamp, bad) samples.
-        self._samples: Dict[Tuple[str, str], Deque[Tuple[float, bool]]] = {}
+        self._shortest = min(
+            (rule.short_window_s for rule in self.rules),
+            default=self._horizon or 60.0,
+        )
+        self._samples: Dict[Tuple[str, str], _Window] = {}
         #: Keys currently in the firing state (edge-trigger dedup).
         self._firing: Set[Tuple[str, str, str]] = set()
         self.alerts_fired = 0
@@ -178,9 +225,8 @@ class SloTracker:
         key = (tenant, objective)
         window = self._samples.get(key)
         if window is None:
-            window = self._samples[key] = deque(maxlen=_MAX_SAMPLES)
-        window.append((t, bool(bad)))
-        self._prune(window, t)
+            window = self._samples[key] = _Window()
+        window.append(t, bool(bad), t - self._horizon)
 
     def observe_latency(
         self, tenant: str, seconds: float, now: Optional[float] = None
@@ -202,12 +248,13 @@ class SloTracker:
         """A verdict's pipeline health; bad when not "ok"."""
         self.observe(tenant, "health", health != "ok", now=now)
 
-    def _prune(
-        self, window: Deque[Tuple[float, bool]], now: float
-    ) -> None:
-        horizon = now - self._horizon
-        while window and window[0][0] < horizon:
-            window.popleft()
+    def forget(self, tenant: str) -> None:
+        """Drop a departed tenant's windows, firing state and alert count."""
+        for objective in self.objectives:
+            self._samples.pop((tenant, objective), None)
+            for rule in self.rules:
+                self._firing.discard((tenant, rule.name, objective))
+        self._fired_by_tenant.pop(tenant, None)
 
     # ----------------------------------------------------------- evaluation
 
@@ -215,17 +262,10 @@ class SloTracker:
         self, key: Tuple[str, str], window_s: float, now: float
     ) -> Tuple[int, int]:
         """(bad, total) samples within the trailing ``window_s``."""
-        samples = self._samples.get(key)
-        if not samples:
+        window = self._samples.get(key)
+        if window is None:
             return 0, 0
-        cutoff = now - window_s
-        bad = total = 0
-        for t, is_bad in reversed(samples):
-            if t < cutoff:
-                break
-            total += 1
-            bad += is_bad
-        return bad, total
+        return window.counts(now - window_s)
 
     def burn_rate(
         self,
@@ -239,12 +279,11 @@ class SloTracker:
         1.0 means bad events arrive exactly at the budgeted fraction;
         ``1 / budget`` is the ceiling (every event bad).
         """
-        obj = self.objectives[objective]
+        budget = self.objectives[objective].budget
         t = self.clock() if now is None else now
-        bad, total = self._window_counts((tenant, objective), window_s, t)
-        if total == 0:
-            return 0.0
-        return (bad / total) / obj.budget
+        return _burn(
+            *self._window_counts((tenant, objective), window_s, t), budget
+        )
 
     def evaluate(
         self, tenant: str, now: Optional[float] = None
@@ -257,18 +296,20 @@ class SloTracker:
         """
         t = self.clock() if now is None else now
         fired: List[Dict[str, Any]] = []
-        for objective in self.objectives:
+        for objective, obj in self.objectives.items():
+            # Rules share windows (the default ladder's 120 s is one
+            # rule's long and the other's short): count each once.
+            counts: Dict[float, Tuple[int, int]] = {}
             for rule in self.rules:
                 key = (tenant, rule.name, objective)
-                _, short_total = self._window_counts(
-                    (tenant, objective), rule.short_window_s, t
-                )
-                burn_short = self.burn_rate(
-                    tenant, objective, rule.short_window_s, now=t
-                )
-                burn_long = self.burn_rate(
-                    tenant, objective, rule.long_window_s, now=t
-                )
+                for window_s in (rule.short_window_s, rule.long_window_s):
+                    if window_s not in counts:
+                        counts[window_s] = self._window_counts(
+                            (tenant, objective), window_s, t
+                        )
+                short_bad, short_total = counts[rule.short_window_s]
+                burn_short = _burn(short_bad, short_total, obj.budget)
+                burn_long = _burn(*counts[rule.long_window_s], obj.budget)
                 firing = (
                     short_total >= rule.min_samples
                     and burn_short >= rule.threshold
@@ -355,16 +396,9 @@ class SloTracker:
         """Worst short-window burn across objectives — ``repro top``'s sort
         key."""
         t = self.clock() if now is None else now
-        shortest = min(
-            (rule.short_window_s for rule in self.rules),
-            default=self._horizon or 60.0,
-        )
         return max(
-            (
-                self.burn_rate(tenant, objective, shortest, now=t)
-                for objective in self.objectives
-            ),
-            default=0.0,
+            self.burn_rate(tenant, objective, self._shortest, now=t)
+            for objective in self.objectives
         )
 
     def tenant_snapshot(
@@ -372,20 +406,16 @@ class SloTracker:
     ) -> Dict[str, Any]:
         """JSON-ready SLO state for ``/tenants/<id>`` and ``repro top``."""
         t = self.clock() if now is None else now
-        shortest = min(
-            (rule.short_window_s for rule in self.rules),
-            default=self._horizon or 60.0,
-        )
         objectives: Dict[str, Any] = {}
         for objective in self.objectives:
             bad, total = self._window_counts(
-                (tenant, objective), self._horizon or shortest, t
+                (tenant, objective), self._horizon or self._shortest, t
             )
             objectives[objective] = {
                 "samples": total,
                 "bad_fraction": (bad / total) if total else 0.0,
                 "burn_rate": self.burn_rate(
-                    tenant, objective, shortest, now=t
+                    tenant, objective, self._shortest, now=t
                 ),
             }
         return {

@@ -778,10 +778,17 @@ class DetectionService:
                 "any_detected": report.any_detected,
                 "latency_s": latency,
             }
-            if latency is not None:
-                self.slo.observe_latency(tenant.name, latency)
-            self.slo.observe_health(tenant.name, report.health)
-            self.slo.evaluate(tenant.name)
+            with trace_span(
+                "serve.slo",
+                tenant=tenant.name,
+                shard=tenant.shard,
+                quantum=obs.quantum,
+                trace_id=tenant.trace_id,
+            ):
+                if latency is not None:
+                    self.slo.observe_latency(tenant.name, latency)
+                self.slo.observe_health(tenant.name, report.health)
+                self.slo.evaluate(tenant.name)
 
     def _finalize(self, tenant: _Tenant) -> None:
         """Seal the tenant's final report and queue its goodbye."""
@@ -876,6 +883,7 @@ class DetectionService:
                     tenant.final_report = tenant.session.close()
                     self._m_evictions.inc()
                 del self._tenants[name]
+                self.slo.forget(name)
             self._gauge_sync()
 
     # ----------------------------------------------------------- connection

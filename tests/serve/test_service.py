@@ -14,6 +14,13 @@ import pytest
 from repro.errors import ServeError, ServeUnavailableError
 from repro.faults.wire import FlakyFrameLink
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.slo import BurnRateRule, SloObjective, SloTracker
+from repro.obs.tracing import (
+    disable_tracing,
+    enable_tracing,
+    get_recorder,
+    new_trace_id,
+)
 from repro.pipeline import build_session_from_specs
 from repro.serve import (
     DetectionService,
@@ -266,6 +273,49 @@ class TestAdmissionAndLifecycle:
 
         run(scenario())
 
+    def test_expired_tenant_leaves_no_slo_state(self):
+        # A zero latency bar makes every verdict bad, so the tenant has
+        # windows, a firing rule and an alert count before it expires.
+        slo = SloTracker(
+            objectives=(
+                SloObjective("verdict_latency", latency_threshold_s=0.0),
+                SloObjective("shed"),
+                SloObjective("health"),
+            ),
+            rules=(BurnRateRule("burn", short_window_s=10.0,
+                                long_window_s=40.0, threshold=1.0,
+                                min_samples=1),),
+            metrics=MetricsRegistry(),
+        )
+
+        async def scenario():
+            service = DetectionService(
+                ServeConfig(idle_expiry=0.2, verdict_every=1), slo=slo
+            )
+            host, port = await service.start()
+            try:
+                client = ServeClient(host, port)
+                await client.connect("sleepy", CHANNELS)
+                for obs in benign_observations(3, seed=1):
+                    await client.send(obs)
+                await asyncio.sleep(0.05)  # let folds settle
+                before = slo.tenant_snapshot("sleepy")
+                await client.aclose()
+                await asyncio.sleep(0.45)
+            finally:
+                await service.stop()
+            return before
+
+        before = run(scenario())
+        assert before["alerts_total"] >= 1 and before["firing"]
+        assert not [key for key in slo._samples if key[0] == "sleepy"]
+        assert slo.firing("sleepy") == []
+        snap = slo.tenant_snapshot("sleepy")
+        assert snap["alerts_total"] == 0
+        assert all(
+            o["samples"] == 0 for o in snap["objectives"].values()
+        )
+
     def test_stop_pushes_goodbye_to_connected_tenants(self):
         """Supervised shutdown: a mid-stream tenant still gets its final
         verdicts."""
@@ -299,6 +349,38 @@ class TestAdmissionAndLifecycle:
 
         first, second = run(scenario())
         assert first == second == {}
+
+
+class TestSloSpan:
+    def test_each_verdict_traces_its_slo_stage(self):
+        """``serve.slo`` follows every ``serve.analyze`` of the tenant,
+        under the same trace id, instead of hiding in the fold batch."""
+        trace_id = new_trace_id()
+
+        async def scenario():
+            service = DetectionService(ServeConfig(verdict_every=4))
+            host, port = await service.start()
+            try:
+                await stream_tenant(
+                    host, port, "traced", CHANNELS,
+                    covert_observations(16, seed=3), trace_id=trace_id,
+                )
+            finally:
+                await service.stop()
+            return get_recorder().to_dicts()
+
+        enable_tracing(capacity=4096)
+        try:
+            spans = run(scenario())
+        finally:
+            disable_tracing()
+        analyze = [s for s in spans if s["name"] == "serve.analyze"]
+        slo = [s for s in spans if s["name"] == "serve.slo"]
+        assert len(slo) == len(analyze) >= 1
+        for before, after in zip(analyze, slo):
+            assert after["start_s"] >= before["start_s"] + before["duration_s"]
+            assert after["attrs"]["tenant"] == "traced"
+            assert after["attrs"]["trace_id"] == trace_id
 
 
 class TestDegradedPaths:
